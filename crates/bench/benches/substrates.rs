@@ -110,10 +110,10 @@ fn classifier_and_index(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation: the three exact NN structures (the FAISS role, DESIGN.md §1) on
-/// one clustered workload — brute scan, KD-tree, VP-tree. KD wins at low
-/// dimension, brute catches up as dimension grows (the §1-cited curse of
-/// dimensionality), VP pays a metric-agnosticity tax.
+/// Ablation: the exact dense NN structures (the FAISS role, DESIGN.md §1) on
+/// one clustered workload — brute scan vs KD-tree. KD wins at low dimension,
+/// brute catches up as dimension grows (the §1-cited curse of
+/// dimensionality).
 fn index_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_index");
     group.sample_size(20);
@@ -143,17 +143,6 @@ fn index_ablation(c: &mut Criterion) {
             b.iter(|| {
                 for q in &queries {
                     criterion::black_box(kd.knn(q, 5));
-                }
-            })
-        });
-
-        let vp = knn_index::VpTree::new(pts.clone(), |a: &Vec<f64>, b: &Vec<f64>| {
-            knn_space::LpMetric::L2.dist_f64(a, b)
-        });
-        group.bench_function(BenchmarkId::new("vptree", dim), |b| {
-            b.iter(|| {
-                for q in &queries {
-                    criterion::black_box(vp.knn(q, 5));
                 }
             })
         });

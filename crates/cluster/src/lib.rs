@@ -13,7 +13,7 @@
 //!                        ├─ backend pool: spawn-or-attach, health probes,
 //!                        │  mark-down / mark-up                    [`pool`]
 //!                        └─ per-connection scatter-gather:
-//!                           queries round-robin over replicas,
+//!                           queries routed by cache affinity,
 //!                           responses merged in request order   [`scatter`]
 //!                                │
 //!                 ┌──────────────┼──────────────┐
@@ -42,14 +42,14 @@
 //!   to a single server — including under replica failure, when pending
 //!   queries are redispatched to survivors (see [`scatter`] for the failure
 //!   model).
-//! * **Cache-affinity routing + cross-replica fill** (default on) — query
-//!   lines are routed by rendezvous hash of the engine's deterministic
-//!   cache key, so every repeat of a query prefers the replica already
-//!   holding its cached explanation (warm throughput scales with backends
-//!   instead of inverting); the window round-robin remains the path for
-//!   unkeyed lines and the failover fallback. A replica that computes a
-//!   cold answer has it pushed to its peers via the `fill` verb —
-//!   best-effort, deduplicated, epoch-checked on both ends.
+//! * **Cache-affinity routing + cross-replica fill** — query lines are
+//!   routed by rendezvous hash of the engine's deterministic cache key, so
+//!   every repeat of a query prefers the replica already holding its cached
+//!   explanation (warm throughput scales with backends instead of
+//!   inverting), and the key's rendezvous order is also its failover order.
+//!   A replica that computes a cold answer has it pushed to the key's first
+//!   failover replica via the `fill` verb — best-effort, deduplicated per
+//!   tenant version, epoch-checked on both ends.
 //! * **Cluster stats** — the router's `stats` verb aggregates per-backend
 //!   admission and per-tenant cache counters into one cluster view.
 //!
@@ -73,7 +73,7 @@ use scatter::{Dispatcher, PendingQuery};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -88,32 +88,11 @@ pub struct RouterConfig {
     /// data-path failures still mark backends down, but nothing marks them
     /// up again).
     pub probe_interval: Duration,
-    /// How many replicas one client connection's batch scatters over
-    /// (`0` = all of them). Full spread maximizes one client's parallelism;
-    /// `--spread 1` gives each connection a single anchored replica (with
-    /// the rest as failover fallback), which minimizes per-backend
-    /// connection fan-in when clients outnumber replicas. Response bytes
-    /// are identical either way.
-    pub spread: usize,
-    /// Cache-affinity routing + cross-replica cache fill (default on).
-    /// Query lines are routed by rendezvous hash of their deterministic
-    /// cache key over the tenant's replicas — every repeat of a query
-    /// prefers the replica already holding its cached explanation — and a
-    /// replica that computes a cold answer has it pushed (best-effort,
-    /// epoch-checked) to its peers. Replica choice never changes response
-    /// bytes, so this is purely a warm-path throughput lever; `false`
-    /// restores the pure window/round-robin scatter.
-    pub affinity: bool,
 }
 
 impl Default for RouterConfig {
     fn default() -> RouterConfig {
-        RouterConfig {
-            replication: 0,
-            probe_interval: Duration::from_millis(500),
-            spread: 0,
-            affinity: true,
-        }
+        RouterConfig { replication: 0, probe_interval: Duration::from_millis(500) }
     }
 }
 
@@ -143,6 +122,10 @@ struct TenantSource {
     muts: Vec<Value>,
     /// The replicas that acknowledged the seed load, in placement order.
     desired: Vec<usize>,
+    /// Which `load` of the router this source came from (router-wide, so
+    /// never reused by a reload or a load after an unload). The version
+    /// restarts at 0 on every load; `(generation, version)` never repeats.
+    generation: u64,
 }
 
 impl TenantSource {
@@ -164,10 +147,10 @@ struct RouterShared {
     addr: SocketAddr,
     started: Instant,
     probe_interval: Duration,
-    spread: usize,
-    /// Connection counter, anchoring successive connections on different
-    /// replicas.
+    /// Connection counter: numbers the router-minted trace ids.
     conn_counter: AtomicUsize,
+    /// Load counter: mints [`TenantSource::generation`].
+    loads: AtomicU64,
     /// Retained seed text + mutation log per tenant, so the probe loop can
     /// rebuild a replica that restarted with an empty registry (or missed a
     /// mutation) to the exact current version.
@@ -179,12 +162,9 @@ struct RouterShared {
     /// control-plane operations, so holding a lock across the roundtrips is
     /// fine.
     load_lock: Mutex<()>,
-    /// Cache-affinity routing + cross-replica fill enabled
-    /// ([`RouterConfig::affinity`]).
-    affinity: bool,
-    /// The fill hub (present iff `affinity`): completed keyed answers are
-    /// offered here and a worker thread pushes them to peer replicas.
-    fill: Option<Arc<FillHub>>,
+    /// The fill hub: completed answers are offered here and a worker
+    /// thread pushes them to peer replicas.
+    fill: Arc<FillHub>,
     /// Slow-query entries retained across `slow` scrapes. Backend rings
     /// drain destructively, so the router *merges* each drain into this
     /// bounded, slowest-first list and serves snapshots of it — two
@@ -207,8 +187,9 @@ struct FillJob {
     /// Backend that produced (or already cached) the answer — excluded
     /// from the push set.
     origin: usize,
-    /// Router-side tenant version at *dispatch* time; re-verified under
-    /// the load lock before pushing (see [`push_fill`]).
+    /// Router-side tenant generation and version at *dispatch* time;
+    /// re-verified under the load lock before pushing (see [`push_fill`]).
+    generation: u64,
     version: u64,
     /// The forwarded request line (UTF-8 of the exact bytes the backend
     /// answered).
@@ -218,17 +199,19 @@ struct FillJob {
 }
 
 /// Fan-in point for cross-replica cache fill: dispatchers offer completed
-/// keyed answers; a single worker thread drains the queue and pushes each
-/// fresh `(tenant, key)`'s answer to the tenant's other replicas over
-/// their control channels. Fire-and-forget by design — a lost push costs
-/// one future cache miss, never a wrong byte.
+/// answers; a single worker thread drains the queue and pushes each fresh
+/// `(tenant, key, generation, version)`'s answer to a peer replica over its
+/// control channel. Fire-and-forget by design — a lost push costs one
+/// future cache miss, never a wrong byte.
 pub(crate) struct FillHub {
     tx: Mutex<mpsc::Sender<FillJob>>,
-    /// `(tenant, affinity key)` pairs already offered, so a hot key's
-    /// thousandth repeat does not re-push the same immutable entry.
-    /// Bounded by clearing on overflow: dedup is an optimization — the
-    /// engine's insert path tolerates (and ignores) duplicates.
-    seen: Mutex<std::collections::HashSet<(String, u64)>>,
+    /// `(tenant, affinity key, generation, version)` already offered, so a
+    /// hot key's thousandth repeat does not re-push the same immutable
+    /// entry, while the same key answered again after a mutation or reload
+    /// (a new dataset, so a new answer) is pushed again. Bounded by
+    /// clearing on overflow: dedup is an optimization — the engine's insert
+    /// path tolerates (and ignores) duplicates.
+    seen: Mutex<std::collections::HashSet<(String, u64, u64, u64)>>,
 }
 
 /// Cap on the fill dedup set; clearing past this only costs re-pushes.
@@ -236,21 +219,30 @@ const FILL_SEEN_CAP: usize = 65_536;
 
 impl FillHub {
     /// Queues `q`'s completed answer for propagation unless this
-    /// `(tenant, key)` was already offered. Called off the response path
-    /// (after the client has its bytes); never blocks on I/O.
-    pub(crate) fn offer(&self, q: &scatter::PendingQuery, key: u64, origin: usize, resp: &[u8]) {
+    /// `(tenant, key, generation, version)` was already offered. Called off
+    /// the response path (after the client has its bytes); never blocks on
+    /// I/O.
+    pub(crate) fn offer(&self, q: &scatter::PendingQuery, origin: usize, resp: &[u8]) {
         {
             let mut seen = self.seen.lock().unwrap();
             if seen.len() >= FILL_SEEN_CAP {
                 seen.clear();
             }
-            if !seen.insert((q.tenant.clone(), key)) {
+            if !seen.insert((q.tenant.clone(), q.affinity, q.generation, q.version)) {
                 return;
             }
         }
         let req = String::from_utf8_lossy(q.line.trim_ascii()).into_owned();
         let resp = String::from_utf8_lossy(resp).into_owned();
-        let job = FillJob { tenant: q.tenant.clone(), key, origin, version: q.version, req, resp };
+        let job = FillJob {
+            tenant: q.tenant.clone(),
+            key: q.affinity,
+            origin,
+            generation: q.generation,
+            version: q.version,
+            req,
+            resp,
+        };
         let _ = self.tx.lock().unwrap().send(job);
     }
 }
@@ -274,8 +266,8 @@ fn start_fill_worker(shared: &Arc<RouterShared>, rx: mpsc::Receiver<FillJob>) {
 
 /// Pushes one answer to the key's **first failover replica** — the
 /// highest-ranked replica in the key's affinity order that is not the
-/// origin — under the load lock, and only if the tenant's version still
-/// equals the job's dispatch-time version.
+/// origin — under the load lock, and only if the tenant's generation and
+/// version still equal the job's dispatch-time ones.
 ///
 /// One target, not all peers: affinity routing sends a key's repeats to
 /// its home replica, so the only other replica that will ever see the key
@@ -292,13 +284,18 @@ fn start_fill_worker(shared: &Arc<RouterShared>, rx: mpsc::Receiver<FillJob>) {
 /// epoch: silent divergence. Holding the load lock means no fan-out is in
 /// flight while we push, and `version == job.version` means none completed
 /// since dispatch either — so every active replica is at exactly the
-/// epoch the answer was computed at. The backend's own epoch check on
-/// insert ([`knn_engine::ExplanationEngine::insert_external`]) remains as
-/// the second belt.
+/// epoch the answer was computed at. The generation check covers what the
+/// version cannot: a reload restarts the version at 0, so an answer
+/// computed on the old dataset at version 0 would otherwise pass, and the
+/// backend's own epoch check on insert
+/// ([`knn_engine::ExplanationEngine::insert_external`]) would accept it
+/// into the new dataset's epoch 0. That check remains as the second belt
+/// against mutation races.
 fn push_fill(shared: &Arc<RouterShared>, job: FillJob) {
     let _load_serialized = shared.load_lock.lock().unwrap();
-    let current = shared.sources.lock().unwrap().get(&job.tenant).map(|s| s.version());
-    if current != Some(job.version) {
+    let current =
+        shared.sources.lock().unwrap().get(&job.tenant).map(|s| (s.generation, s.version()));
+    if current != Some((job.generation, job.version)) {
         shared.telemetry.add("knn_router_fill_stale_total", 1);
         return;
     }
@@ -340,16 +337,11 @@ impl Router {
         let addr = listener.local_addr()?;
         let telemetry = Telemetry::new();
         telemetry.set_enabled(true);
-        let (fill, fill_rx) = if config.affinity {
-            let (tx, rx) = mpsc::channel();
-            let hub = Arc::new(FillHub {
-                tx: Mutex::new(tx),
-                seen: Mutex::new(std::collections::HashSet::new()),
-            });
-            (Some(hub), Some(rx))
-        } else {
-            (None, None)
-        };
+        let (fill_tx, fill_rx) = mpsc::channel();
+        let fill = Arc::new(FillHub {
+            tx: Mutex::new(fill_tx),
+            seen: Mutex::new(std::collections::HashSet::new()),
+        });
         let shared = Arc::new(RouterShared {
             pool: Arc::new(BackendPool::new()),
             placement: Arc::new(PlacementMap::new(config.replication)),
@@ -358,17 +350,14 @@ impl Router {
             addr,
             started: Instant::now(),
             probe_interval: config.probe_interval,
-            spread: config.spread,
             conn_counter: AtomicUsize::new(0),
+            loads: AtomicU64::new(0),
             sources: Mutex::new(BTreeMap::new()),
             load_lock: Mutex::new(()),
-            affinity: config.affinity,
             fill,
             slow_retained: Mutex::new(Vec::new()),
         });
-        if let Some(rx) = fill_rx {
-            start_fill_worker(&shared, rx);
-        }
+        start_fill_worker(&shared, fill_rx);
         Ok(Router { listener, shared })
     }
 
@@ -656,8 +645,12 @@ fn fan_out_load(
     // replica demoted by a failed mutation still holds (stale) data and
     // must be cleaned up on replace like everyone else.
     let previous = shared.sources.lock().unwrap().get(name).map(|s| s.desired.clone());
-    let src =
-        TenantSource { seed: Arc::from(text.as_str()), muts: Vec::new(), desired: Vec::new() };
+    let src = TenantSource {
+        seed: Arc::from(text.as_str()),
+        muts: Vec::new(),
+        desired: Vec::new(),
+        generation: shared.loads.fetch_add(1, Ordering::Relaxed),
+    };
     let line = load_line(name, &src);
 
     let mut acked = Vec::new();
@@ -832,8 +825,6 @@ fn route_connection(stream: TcpStream, shared: &Arc<RouterShared>) -> std::io::R
         shared.pool.clone(),
         shared.placement.clone(),
         out_tx.clone(),
-        conn,
-        shared.spread,
         shared.telemetry.clone(),
         shared.fill.clone(),
     );
@@ -888,19 +879,13 @@ fn route_connection(stream: TcpStream, shared: &Arc<RouterShared>) -> std::io::R
                         // artifact, because it is a pure function of the
                         // request. The version snapshot is the epoch a fill
                         // of this answer would be labeled with.
-                        let (affinity, version) = if shared.affinity {
-                            let key = knn_engine::cache::affinity_hash(&request);
-                            let v = shared
-                                .sources
-                                .lock()
-                                .unwrap()
-                                .get(&dataset)
-                                .map(|s| s.version())
-                                .unwrap_or(0);
-                            (Some(key), v)
-                        } else {
-                            (None, 0)
-                        };
+                        let affinity = knn_engine::cache::affinity_hash(&request);
+                        let (generation, version) = shared
+                            .sources
+                            .lock()
+                            .unwrap()
+                            .get(&dataset)
+                            .map_or((0, 0), |s| (s.generation, s.version()));
                         disp.dispatch(PendingQuery {
                             seq,
                             id: request.id,
@@ -910,6 +895,7 @@ fn route_connection(stream: TcpStream, shared: &Arc<RouterShared>) -> std::io::R
                             trace,
                             start_us,
                             affinity,
+                            generation,
                             version,
                         });
                         dispatched += 1;
@@ -2023,8 +2009,7 @@ mod tests {
         let handle = router.spawn();
 
         let mut c = Client::connect(handle.addr()).unwrap();
-        // Round-robin would alternate replicas; every query must still be
-        // answered (by the survivor), bytes intact.
+        // Every query must be answered (by the survivor), bytes intact.
         for i in 0..8 {
             let resp = c
                 .roundtrip(&format!(
@@ -2033,42 +2018,6 @@ mod tests {
                 ))
                 .unwrap();
             assert!(resp.starts_with(&format!("{{\"id\":\"q{i}\",\"ok\":true")), "{resp}");
-        }
-        handle.shutdown();
-        live.shutdown();
-    }
-
-    #[test]
-    fn spread_one_anchors_connections_but_still_fails_over() {
-        let live = backend();
-        let dead = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let dead_addr = dead.local_addr().unwrap();
-        drop(dead);
-
-        let router = Router::bind(
-            "127.0.0.1:0",
-            RouterConfig { spread: 1, probe_interval: Duration::ZERO, ..RouterConfig::default() },
-        )
-        .unwrap();
-        router.attach(dead_addr); // id 0: some connections anchor here
-        router.attach(live.addr());
-        router.load("toy", LoadSource::Text(BOOL), None).unwrap();
-        let handle = router.spawn();
-
-        // Several connections: whichever anchor each one gets, every query
-        // must be answered correctly (dead-anchored connections fall back
-        // beyond their window).
-        for conn in 0..4 {
-            let mut c = Client::connect(handle.addr()).unwrap();
-            let resp = c
-                .roundtrip(
-                    r#"{"dataset":"toy","id":"q","cmd":"classify","metric":"hamming","point":[1,1,1]}"#,
-                )
-                .unwrap();
-            assert_eq!(
-                resp, r#"{"id":"q","ok":true,"route":"hamming-index","label":"+"}"#,
-                "connection {conn}"
-            );
         }
         handle.shutdown();
         live.shutdown();
@@ -2290,6 +2239,102 @@ mod tests {
     fn router_with_no_backends_refuses_load() {
         let router = Router::bind("127.0.0.1:0", RouterConfig::default()).unwrap();
         assert!(router.load("x", LoadSource::Text(BOOL), None).is_err());
+    }
+
+    /// Reads one router-own counter off the `metrics` verb (0 when absent).
+    fn router_counter(c: &mut Client, name: &str) -> f64 {
+        let m = c.roundtrip(r#"{"id":"m","verb":"metrics"}"#).unwrap();
+        let parsed = parse_bytes(m.as_bytes()).unwrap();
+        let Some(Value::String(text)) = parsed.get("metrics") else {
+            panic!("metrics member missing: {m}");
+        };
+        exposition::parse(text).get(name).copied().unwrap_or(0.0)
+    }
+
+    /// Polls `knn_router_fills_total` until it reads `want` (fill pushes are
+    /// asynchronous), failing after a generous deadline.
+    fn await_fills(c: &mut Client, want: f64) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let fills = router_counter(c, "knn_router_fills_total");
+            if fills == want {
+                return;
+            }
+            assert!(Instant::now() < deadline, "fills stuck at {fills}, want {want}");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    /// Fill dedup is per tenant generation and version: the same query
+    /// answered cold again after a mutation or a reload is a new answer
+    /// and must be pushed to its failover replica again, not swallowed as
+    /// an already-offered key.
+    #[test]
+    fn fill_dedup_does_not_outlive_a_mutation() {
+        let (b0, b1) = (backend(), backend());
+        let handle = router_over(&[&b0, &b1]);
+        let mut c = Client::connect(handle.addr()).unwrap();
+        // A counterfactual carries no cache-survival guard, so its answer
+        // after the mutation is computed cold.
+        let q = r#"{"dataset":"toy","id":"q","cmd":"counterfactual","metric":"hamming","point":[0,0,1]}"#;
+
+        assert!(c.roundtrip(q).unwrap().contains(r#""ok":true"#));
+        await_fills(&mut c, 1.0);
+        let ins = c
+            .roundtrip(r#"{"id":"i","verb":"insert","name":"toy","label":"+","point":[1,0,1]}"#)
+            .unwrap();
+        assert!(ins.contains(r#""version":1"#), "{ins}");
+        assert!(c.roundtrip(q).unwrap().contains(r#""ok":true"#));
+        await_fills(&mut c, 2.0);
+        let reload =
+            c.roundtrip(r#"{"id":"l","verb":"load","name":"toy","text":"+ 1 1 1\n- 0 0 0"}"#);
+        assert!(reload.unwrap().contains(r#""ok":true"#));
+        assert!(c.roundtrip(q).unwrap().contains(r#""ok":true"#));
+        await_fills(&mut c, 3.0);
+        assert_eq!(router_counter(&mut c, "knn_router_fill_stale_total"), 0.0);
+
+        handle.shutdown();
+        b0.shutdown();
+        b1.shutdown();
+    }
+
+    /// A fill job dispatched before a reload is stale even though the
+    /// reload restarted the tenant's version at the job's value: pushing it
+    /// would install an answer computed on the old dataset into the new one.
+    #[test]
+    fn fill_from_before_a_reload_is_dropped_as_stale() {
+        let (b0, b1) = (backend(), backend());
+        let router = Router::bind(
+            "127.0.0.1:0",
+            RouterConfig { probe_interval: Duration::ZERO, ..RouterConfig::default() },
+        )
+        .unwrap();
+        router.attach(b0.addr());
+        router.attach(b1.addr());
+        router.load("toy", LoadSource::Text(BOOL), None).unwrap();
+        router.load("toy", LoadSource::Text("+ 1 1 1\n- 0 0 0\n"), None).unwrap();
+        let shared = router.shared.clone();
+        let job = |generation| FillJob {
+            tenant: "toy".into(),
+            key: 7,
+            origin: 0,
+            generation,
+            version: 0,
+            req:
+                r#"{"dataset":"toy","id":"q","cmd":"classify","metric":"hamming","point":[0,0,1]}"#
+                    .into(),
+            resp: r#"{"id":"q","ok":true,"route":"hamming-index","label":"-"}"#.into(),
+        };
+        let count = |name| shared.telemetry.counter(name).load(Ordering::Relaxed);
+
+        push_fill(&shared, job(0)); // dispatched against the first load
+        assert_eq!(count("knn_router_fill_stale_total"), 1);
+        assert_eq!(count("knn_router_fills_total"), 0);
+        push_fill(&shared, job(1)); // dispatched against the reload
+        assert_eq!(count("knn_router_fills_total"), 1);
+
+        b0.shutdown();
+        b1.shutdown();
     }
 
     /// Mutations fan out to every replica: after an insert through the

@@ -11,8 +11,14 @@
 //!   `Dominated` verdict means the polyhedron is contained in its named
 //!   dominator. A pruner that drops a feasible, uncovered region fails here;
 //! * [`Combinations`] is exactly the lexicographic `r`-subset enumeration:
-//!   `C(n, r)` items, strictly increasing, no duplicates.
+//!   `C(n, r)` items, strictly increasing, no duplicates;
+//! * on `f64` data, every ℓ2 abductive and counterfactual query answered
+//!   over the lazy view (the serving path) is bit-identical to the same
+//!   query answered over the eager oracle.
 
+use knn_core::abductive::l2::L2Abductive;
+use knn_core::abductive::minimum::HittingSetMode;
+use knn_core::counterfactual::l2::{CfInfimum, L2Counterfactual};
 use knn_core::regions::{
     prune_region, Combinations, LazyRegions, PruneReason, RegionCache, RegionSpec, RegionStream,
 };
@@ -220,6 +226,91 @@ proptest! {
                 "anchor keys not sorted: {:?}",
                 keys.iter().map(|r| r.to_f64()).collect::<Vec<_>>()
             );
+        }
+    }
+}
+
+/// The two demo datasets of the batch-engine tests: a 5-feature 0/1 set and
+/// a 2-D continuous one, three points per class.
+fn demo_datasets() -> [ContinuousDataset<f64>; 2] {
+    let boolean = ContinuousDataset::from_sets(
+        vec![
+            vec![1.0, 1.0, 1.0, 0.0, 0.0],
+            vec![1.0, 1.0, 0.0, 0.0, 0.0],
+            vec![1.0, 0.0, 1.0, 0.0, 0.0],
+        ],
+        vec![
+            vec![0.0, 0.0, 0.0, 1.0, 1.0],
+            vec![0.0, 0.0, 1.0, 1.0, 1.0],
+            vec![0.0, 1.0, 0.0, 1.0, 1.0],
+        ],
+    );
+    let continuous = ContinuousDataset::from_sets(
+        vec![vec![2.0, 2.0], vec![3.0, 1.5], vec![1.0, 2.5]],
+        vec![vec![-1.0, -1.0], vec![0.0, -2.0], vec![-2.0, 0.5]],
+    );
+    [boolean, continuous]
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn infimum_bits(inf: &Option<CfInfimum<f64>>) -> Option<(u64, Vec<u64>, bool)> {
+    inf.as_ref().map(|i| (i.dist_sq.to_bits(), bits(&i.closure_witness), i.attained))
+}
+
+/// The serving path's byte-identity oracle, at the core level: on both demo
+/// datasets, three query points and k ∈ {1, 3, 5}, every ℓ2 method pair —
+/// check, minimal, exact minimum, counterfactual infimum, and the witness
+/// search at the engine's radius just past the infimum — answers
+/// bit-identically over [`LazyRegions`] and the eager [`RegionCache`]. One
+/// lazy view per `k` is shared across the points, as the engine shares it
+/// across queries, so a warm memo is covered too.
+#[test]
+fn lazy_and_eager_region_paths_are_bit_identical() {
+    for ds in demo_datasets() {
+        let dim = ds.dim();
+        let points: Vec<Vec<f64>> = vec![
+            vec![0.25; dim],
+            vec![1.0; dim],
+            (0..dim).map(|i| if i % 2 == 0 { -0.5 } else { 2.0 }).collect(),
+        ];
+        for k in [OddK::ONE, OddK::THREE, OddK::of(5)] {
+            let eager = RegionCache::build(&ds, k);
+            let lazy = LazyRegions::new(&ds, k);
+            let ab = L2Abductive::new(&ds, k);
+            let cf = L2Counterfactual::new(&ds, k);
+            for x in &points {
+                let ctx = format!("dim {dim}, k {}, x {x:?}", k.get());
+                assert_eq!(
+                    ab.check_in(x, &[0], &eager).witness().map(|w| bits(w)),
+                    ab.check_lazy(x, &[0], &lazy).witness().map(|w| bits(w)),
+                    "check: {ctx}"
+                );
+                assert_eq!(ab.minimal_in(x, &eager), ab.minimal_lazy(x, &lazy), "minimal: {ctx}");
+                assert_eq!(
+                    ab.minimum_in(x, HittingSetMode::Exact, &eager),
+                    ab.minimum_lazy(x, HittingSetMode::Exact, &lazy),
+                    "minimum: {ctx}"
+                );
+                let inf = cf.infimum_in(x, &eager);
+                assert_eq!(
+                    infimum_bits(&inf),
+                    infimum_bits(&cf.infimum_lazy(x, &lazy)),
+                    "infimum: {ctx}"
+                );
+                if let Some(inf) = inf {
+                    let radius = inf.dist_sq * 1.0001 + 1e-6;
+                    let witness = cf.within_in(x, &radius, &eager);
+                    assert!(witness.is_some(), "witness missing past the infimum: {ctx}");
+                    assert_eq!(
+                        witness.map(|w| bits(&w)),
+                        cf.within_lazy(x, &radius, &lazy).map(|w| bits(&w)),
+                        "within: {ctx}"
+                    );
+                }
+            }
         }
     }
 }

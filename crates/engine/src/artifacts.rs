@@ -12,19 +12,16 @@
 //!   Construction is `O(n)`; regions are enumerated nearest-anchor-first per
 //!   query and memoized (bounded) as they are visited, which is what lets
 //!   the engine serve k ≥ 5 where the eager decomposition is infeasible;
-//! * **eager Prop 1 region caches** — the fully materialized [`RegionCache`]
-//!   per `k`, kept as the differential-testing oracle behind
-//!   `EngineConfig::eager_l2_regions`;
 //! * the **boolean view** of a 0/1 continuous dataset, owned by
 //!   [`EngineData`] itself.
 //!
 //! Each family's map mutex is held only long enough to fetch (or create) the
 //! per-key cell; the build itself runs under the cell's `OnceLock`, so
 //! concurrent requesters of the *same* artifact block and share one build
-//! while distinct artifacts (e.g. region caches for k = 1 and k = 3) build
+//! while distinct artifacts (e.g. region views for k = 1 and k = 3) build
 //! in parallel.
 
-use knn_core::regions::{LazyRegions, RegionCache, RegionCounters};
+use knn_core::regions::{LazyRegions, RegionCounters};
 use knn_index::{HammingIndex, KdTree};
 use knn_space::{BitVec, BooleanDataset, ContinuousDataset, Label, LpMetric, OddK};
 use std::collections::HashMap;
@@ -78,7 +75,7 @@ impl StoreMetrics {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArtifactResources {
     /// Estimated bytes of completed index/region artifacts (KD-trees,
-    /// Hamming indexes, eager region caches, lazy views' dataset copies).
+    /// Hamming indexes, lazy region views' dataset copies).
     pub artifact_bytes: usize,
     /// Estimated bytes of the lazy views' bounded region memos.
     pub memo_bytes: usize,
@@ -242,7 +239,6 @@ impl<K: Eq + Hash + Clone, V> Family<K, V> {
 pub struct ArtifactStore {
     kd_class: Family<(u32, Label), KdTree>,
     hamming_class: Family<Label, HammingIndex>,
-    l2_regions: Family<u32, RegionCache<f64>>,
     l2_lazy: Family<u32, LazyRegions<f64>>,
     /// Build-time accounting, shared across carry-over generations.
     metrics: Arc<StoreMetrics>,
@@ -275,14 +271,6 @@ impl ArtifactStore {
         })
     }
 
-    /// The eager Prop 1 ℓ2 region cache for `k`, building it on first use.
-    /// `O(n^k)` memory — the test-oracle path; serving uses
-    /// [`ArtifactStore::l2_lazy_regions`].
-    pub fn l2_regions(&self, data: &EngineData, k: OddK) -> Arc<RegionCache<f64>> {
-        self.l2_regions
-            .get_or_build(k.get(), || self.metrics.time(|| RegionCache::build(&data.continuous, k)))
-    }
-
     /// The lazy Prop 1 ℓ2 region view for `k`. Cheap to build; visited
     /// regions are memoized inside the view (bounded), so every worker
     /// sharing this artifact also shares the warm enumeration.
@@ -310,10 +298,7 @@ impl ArtifactStore {
     /// verb, so operators can tell a cold tenant (expensive first queries
     /// ahead) from a warmed one.
     pub fn built_count(&self) -> usize {
-        self.kd_class.built_count()
-            + self.hamming_class.built_count()
-            + self.l2_regions.built_count()
-            + self.l2_lazy.built_count()
+        self.kd_class.built_count() + self.hamming_class.built_count() + self.l2_lazy.built_count()
     }
 
     /// Estimated bytes and memo occupancy of the completed artifacts — the
@@ -325,7 +310,6 @@ impl ArtifactStore {
         let mut r = ArtifactResources::default();
         r.artifact_bytes += self.kd_class.built_bytes(|t| t.approx_bytes());
         r.artifact_bytes += self.hamming_class.built_bytes(|h| h.approx_bytes());
-        r.artifact_bytes += self.l2_regions.built_bytes(|c| c.approx_bytes());
         // Lazy views split: the owned dataset copy counts as artifact, the
         // bounded memos as the separately-capped memo component.
         r.artifact_bytes += self.l2_lazy.built_bytes(|l| l.approx_bytes() - l.memo_bytes());
@@ -347,7 +331,6 @@ impl ArtifactStore {
         let next = ArtifactStore {
             kd_class: self.kd_class.carry(|&(_, label)| label != mutated),
             hamming_class: self.hamming_class.carry(|&label| label != mutated),
-            l2_regions: Family::default(),
             l2_lazy: Family::default(),
             metrics: self.metrics.clone(),
             region_counters: self.region_counters.clone(),
@@ -388,10 +371,9 @@ mod tests {
         let a = store.kd_class_index(&d, 2, Label::Positive);
         let b = store.kd_class_index(&d, 2, Label::Positive);
         assert!(Arc::ptr_eq(&a, &b), "same artifact instance on the second request");
-        let r1 = store.l2_regions(&d, OddK::ONE);
-        let r2 = store.l2_regions(&d, OddK::ONE);
-        assert!(Arc::ptr_eq(&r1, &r2));
-        assert!(!r1.entries(Label::Positive).is_empty());
+        let h1 = store.hamming_class_index(&d, Label::Negative);
+        let h2 = store.hamming_class_index(&d, Label::Negative);
+        assert!(Arc::ptr_eq(&h1, &h2));
         let l1 = store.l2_lazy_regions(&d, OddK::ONE);
         let l2 = store.l2_lazy_regions(&d, OddK::ONE);
         assert!(Arc::ptr_eq(&l1, &l2));
@@ -426,8 +408,8 @@ mod tests {
         let pos_kd = store.kd_class_index(&d, 2, Label::Positive);
         let neg_kd = store.kd_class_index(&d, 2, Label::Negative);
         let neg_ham = store.hamming_class_index(&d, Label::Negative);
-        store.l2_regions(&d, OddK::ONE);
         store.l2_lazy_regions(&d, OddK::ONE);
+        store.l2_lazy_regions(&d, OddK::THREE);
         assert_eq!(store.built_count(), 5);
 
         let next = store.carry_over(Label::Positive);

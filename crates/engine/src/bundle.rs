@@ -223,7 +223,6 @@ impl ReproBundle {
                             None => Value::Null,
                         },
                     ),
-                    ("eager_l2_regions".to_string(), Value::Bool(self.config.eager_l2_regions)),
                 ]),
             ),
             ("seed".to_string(), Value::String(self.seed.clone())),
@@ -257,11 +256,13 @@ impl ReproBundle {
                     x.as_u64().ok_or("`effort_budget` must be null or a non-negative integer")?,
                 ),
             },
-            eager_l2_regions: match cfg.get("eager_l2_regions") {
-                Some(Value::Bool(b)) => *b,
-                _ => return Err("`eager_l2_regions` must be a boolean".into()),
-            },
         };
+        // Bundles written before the ℓ2 region routes had a single path
+        // carry an `eager_l2_regions` selector. Both paths answered
+        // byte-identically, so a well-formed legacy member is ignored.
+        if !matches!(cfg.get("eager_l2_regions"), None | Some(Value::Bool(_))) {
+            return Err("`eager_l2_regions` must be a boolean".into());
+        }
         let replay = match v.get("replay") {
             Some(Value::Array(items)) => {
                 items.iter().map(mutation_from_op).collect::<Result<Vec<Mutation>, String>>()?
@@ -411,6 +412,31 @@ mod tests {
         }
     }
 
+    /// Bundles captured while the ℓ2 region routes still had an eager
+    /// selector carry a boolean `eager_l2_regions` config member: it parses,
+    /// is ignored, and is not written back. A non-boolean one is malformed.
+    #[test]
+    fn legacy_region_selector_is_accepted_and_dropped() {
+        let text = sample_bundle().to_json();
+        for legacy in ["false", "true"] {
+            let with = text.replacen(
+                r#""effort_budget":null}"#,
+                &format!(r#""effort_budget":null,"eager_l2_regions":{legacy}}}"#),
+                1,
+            );
+            assert_ne!(with, text);
+            let parsed = ReproBundle::from_json(&with).unwrap();
+            assert_eq!(parsed, sample_bundle());
+            assert_eq!(parsed.to_json(), text);
+        }
+        let bad = text.replacen(
+            r#""effort_budget":null}"#,
+            r#""effort_budget":null,"eager_l2_regions":0}"#,
+            1,
+        );
+        assert!(ReproBundle::from_json(&bad).unwrap_err().contains("eager_l2_regions"));
+    }
+
     #[test]
     fn malformed_bundles_and_ops_are_rejected() {
         for bad in [
@@ -418,8 +444,8 @@ mod tests {
             "[1]",
             r#"{"tenant":"x"}"#,
             r#"{"xknn_bundle":9,"tenant":"x"}"#,
-            r#"{"xknn_bundle":1,"tenant":"x","config":{"workers":0,"cache_capacity":0,"eager_l2_regions":false},"seed":"+ 1","replay":[{"op":"fly"}],"entries":[]}"#,
-            r#"{"xknn_bundle":1,"tenant":"x","config":{"workers":0,"cache_capacity":0,"eager_l2_regions":false},"seed":"+ 1","replay":[],"entries":[{"conn":0}]}"#,
+            r#"{"xknn_bundle":1,"tenant":"x","config":{"workers":0,"cache_capacity":0},"seed":"+ 1","replay":[{"op":"fly"}],"entries":[]}"#,
+            r#"{"xknn_bundle":1,"tenant":"x","config":{"workers":0,"cache_capacity":0},"seed":"+ 1","replay":[],"entries":[{"conn":0}]}"#,
         ] {
             assert!(ReproBundle::from_json(bad).is_err(), "{bad}");
         }

@@ -23,47 +23,14 @@ use knn_space::{BitVec, Label, LpMetric, OddK};
 
 /// Runs `req` to completion. `effort_budget` is the engine-level logical
 /// budget (`None` = exact everywhere). The ℓ2 region routes run on the lazy,
-/// pruned enumerator; [`execute_opts`] exposes the eager oracle mode.
+/// pruned Prop 1 enumerator.
 pub fn execute(
     data: &EngineData,
     artifacts: &ArtifactStore,
     req: &Request,
     effort_budget: Option<u64>,
 ) -> Response {
-    execute_opts(data, artifacts, req, effort_budget, false)
-}
-
-/// [`execute`] with an explicit region-path selector. `eager_l2_regions`
-/// materializes the full Prop 1 decomposition up front ([`RegionCache`]-
-/// backed `*_in` paths) instead of streaming it; the two paths are
-/// byte-identical by construction (same ordering, same pruning), which is
-/// exactly what the oracle tests pin down. Serving should always pass
-/// `false`: eager is `O(n^k)` memory before the first answer.
-pub fn execute_opts(
-    data: &EngineData,
-    artifacts: &ArtifactStore,
-    req: &Request,
-    effort_budget: Option<u64>,
-    eager_l2_regions: bool,
-) -> Response {
-    execute_traced(data, artifacts, req, effort_budget, eager_l2_regions).0
-}
-
-/// [`execute_opts`], also returning the cache-survival guard for answers
-/// that have one (successful `classify` responses carry the per-class
-/// majority order statistics their label was decided by — see
-/// [`knn_delta::guard`]). The engine's cache stores the guard next to the
-/// response so a later epoch can revalidate instead of recomputing.
-pub fn execute_traced(
-    data: &EngineData,
-    artifacts: &ArtifactStore,
-    req: &Request,
-    effort_budget: Option<u64>,
-    eager_l2_regions: bool,
-) -> (Response, Option<ClassifyGuard>) {
-    let (resp, guard, _) =
-        execute_phased(data, artifacts, req, effort_budget, eager_l2_regions, false);
-    (resp, guard)
+    execute_phased(data, artifacts, req, effort_budget, false).0
 }
 
 /// Where one execution's time went, as measured by [`execute_phased`].
@@ -83,7 +50,11 @@ pub struct PhaseTimes {
     pub demoted: bool,
 }
 
-/// [`execute_traced`] with the phase clock: when `timed`, the returned
+/// [`execute`], also returning the cache-survival guard and the phase
+/// clock. Successful `classify` responses carry the per-class majority
+/// order statistics their label was decided by (see [`knn_delta::guard`]);
+/// the engine's cache stores that guard next to the response so a later
+/// epoch can revalidate instead of recomputing. When `timed`, the returned
 /// [`PhaseTimes`] carries the planner and solver wall times (zeros
 /// otherwise — the untimed path never reads the clock, keeping disabled
 /// telemetry free).
@@ -92,7 +63,6 @@ pub fn execute_phased(
     artifacts: &ArtifactStore,
     req: &Request,
     effort_budget: Option<u64>,
-    eager_l2_regions: bool,
     timed: bool,
 ) -> (Response, Option<ClassifyGuard>, PhaseTimes) {
     let mut phases = PhaseTimes::default();
@@ -107,15 +77,7 @@ pub fn execute_phased(
     phases.demoted = planned.budgeted;
     let mut guard = None;
     let solve_started = timed.then(std::time::Instant::now);
-    let outcome = execute_planned(
-        data,
-        artifacts,
-        req,
-        &planned,
-        effort_budget,
-        eager_l2_regions,
-        &mut guard,
-    );
+    let outcome = execute_planned(data, artifacts, req, &planned, effort_budget, &mut guard);
     if let Some(t0) = solve_started {
         phases.solve_us = t0.elapsed().as_micros() as u64;
     }
@@ -139,7 +101,6 @@ fn execute_planned(
     req: &Request,
     planned: &Plan,
     effort_budget: Option<u64>,
-    eager_l2_regions: bool,
     guard: &mut Option<ClassifyGuard>,
 ) -> Result<Outcome, String> {
     let dim = data.continuous.dim();
@@ -208,48 +169,23 @@ fn execute_planned(
 
         Route::L2Check => {
             let ab = L2Abductive::new(&data.continuous, k);
-            let check = if eager_l2_regions {
-                ab.check_in(x, fixed, &artifacts.l2_regions(data, k))
-            } else {
-                ab.check_lazy(x, fixed, &artifacts.l2_lazy_regions(data, k))
-            };
-            Ok(check_outcome(check))
+            Ok(check_outcome(ab.check_lazy(x, fixed, &artifacts.l2_lazy_regions(data, k))))
         }
         Route::L2Minimal => {
             let ab = L2Abductive::new(&data.continuous, k);
-            let features = if eager_l2_regions {
-                ab.minimal_in(x, &artifacts.l2_regions(data, k))
-            } else {
-                ab.minimal_lazy(x, &artifacts.l2_lazy_regions(data, k))
-            };
+            let features = ab.minimal_lazy(x, &artifacts.l2_lazy_regions(data, k));
             Ok(Outcome::Reason { features, optimal: true })
         }
         Route::L2Minimum => {
             let ab = L2Abductive::new(&data.continuous, k);
             let mode = ihs_mode(planned);
-            let features = if eager_l2_regions {
-                ab.minimum_in(x, mode, &artifacts.l2_regions(data, k))
-            } else {
-                ab.minimum_lazy(x, mode, &artifacts.l2_lazy_regions(data, k))
-            };
+            let features = ab.minimum_lazy(x, mode, &artifacts.l2_lazy_regions(data, k));
             Ok(Outcome::Reason { features, optimal: mode == HittingSetMode::Exact })
         }
         Route::L2Cf => {
             let cf = L2Counterfactual::new(&data.continuous, k);
-            let (eager, lazy) = if eager_l2_regions {
-                (Some(artifacts.l2_regions(data, k)), None)
-            } else {
-                (None, Some(artifacts.l2_lazy_regions(data, k)))
-            };
-            let infimum = |x: &[f64]| match &lazy {
-                Some(regions) => cf.infimum_lazy(x, regions),
-                None => cf.infimum_in(x, eager.as_ref().expect("eager path selected")),
-            };
-            let within = |x: &[f64], r: &f64| match &lazy {
-                Some(regions) => cf.within_lazy(x, r, regions),
-                None => cf.within_in(x, r, eager.as_ref().expect("eager path selected")),
-            };
-            match infimum(x) {
+            let regions = artifacts.l2_lazy_regions(data, k);
+            match cf.infimum_lazy(x, &regions) {
                 None => Ok(Outcome::NoCounterfactual),
                 Some(inf) => {
                     let dist = inf.dist_sq.sqrt();
@@ -258,7 +194,8 @@ fn execute_planned(
                     // path, and the additive slack must clear the f64 field's
                     // 1e-9 comparison tolerance for boundary queries.
                     let radius = inf.dist_sq * 1.0001 + 1e-6;
-                    let point = within(x, &radius)
+                    let point = cf
+                        .within_lazy(x, &radius, &regions)
                         .ok_or("internal: witness missing just past the infimum")?;
                     Ok(Outcome::Counterfactual { point, dist, proven: true })
                 }

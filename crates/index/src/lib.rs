@@ -8,8 +8,6 @@
 //! * [`KdTree`] — axis-aligned splits with branch-and-bound search for dense
 //!   `f64` data under any ℓp (per-axis distance lower bounds are valid for
 //!   every p ≥ 1); the workhorse behind the Figure 6a sweep.
-//! * [`VpTree`] — vantage-point tree for arbitrary metrics given as a
-//!   closure, pruning through the triangle inequality.
 //! * [`HammingIndex`] — bit-packed linear scan with per-word popcount and
 //!   early abort; the discrete-setting workhorse.
 //!
@@ -35,7 +33,6 @@
 pub mod brute;
 pub mod hamming;
 pub mod kdtree;
-pub mod vptree;
 
 /// Thread-local work tally for resource accounting.
 ///
@@ -65,7 +62,6 @@ pub mod tally {
 pub use brute::BruteForceIndex;
 pub use hamming::HammingIndex;
 pub use kdtree::KdTree;
-pub use vptree::VpTree;
 
 /// Sorts `(index, key)` pairs by key then index, truncating to `k`.
 pub(crate) fn finalize_neighbors<D: PartialOrd>(

@@ -73,13 +73,13 @@
 //!   --replicas <r>    default replicas per tenant (default: all backends)
 //!   --data <n=file>   preload a dataset, fanned out to its replicas (repeatable)
 //!   --probe-ms <m>    health-probe interval (default 500; 0 disables)
-//!   --spread <s>      replicas one connection scatters over (default: all)
-//!   --affinity on|off cache-affinity routing + cross-replica cache fill
-//!                     (default on): repeats of a query prefer the replica
-//!                     already holding its cached explanation, and cold
-//!                     answers are pushed to peers; `off` restores pure
-//!                     window round-robin
 //!   --workers / --inflight / --cache / --budget   forwarded to spawned backends
+//!
+//! The router routes every query by cache affinity: repeats of a query
+//! prefer the replica already holding its cached explanation, and cold
+//! answers are pushed to the query's failover replica.
+//!
+//! Every subcommand rejects a `--flag` outside the ones listed for it.
 //! ```
 //!
 //! Batch requests look like
@@ -120,6 +120,50 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The flags `command` accepts. Unknown commands get the single-query set
+/// (the query runner rejects the command itself).
+fn accepted_flags(command: &str) -> &'static [&'static str] {
+    match command {
+        "batch" => &["--data", "--requests", "--workers", "--budget", "--cache"],
+        "serve" => &["--addr", "--data", "--workers", "--inflight", "--budget", "--cache"],
+        "client" => &[
+            "--addr",
+            "--requests",
+            "--metrics",
+            "--stats-json",
+            "--trace",
+            "--trace-dump",
+            "--top",
+            "--repro",
+            "--out",
+            "--watch",
+        ],
+        "router" => &[
+            "--addr",
+            "--backend",
+            "--spawn",
+            "--replicas",
+            "--data",
+            "--probe-ms",
+            "--workers",
+            "--inflight",
+            "--cache",
+            "--budget",
+        ],
+        "replay" => &[],
+        _ => &["--data", "--point", "--metric", "--k", "--features"],
+    }
+}
+
+/// Exits with status 2 on the first `--flag` that `command` does not accept,
+/// so a mistyped or retired flag is never silently ignored.
+fn reject_unknown_flags(command: &str, rest: &[String]) {
+    let accepted = accepted_flags(command);
+    if let Some(a) = rest.iter().find(|a| a.starts_with("--") && !accepted.contains(&a.as_str())) {
+        fail(&format!("unknown flag {a}"));
+    }
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
     let Some(command) = argv.get(1).filter(|c| !c.starts_with("--")).cloned() else {
@@ -136,10 +180,10 @@ fn main() {
         println!("            [--out <file>] [--watch <secs>]");
         println!("       xknn router [--addr host:port] [--backend host:port ...] [--spawn <n>]");
         println!("            [--replicas <r>] [--data name=<file> ...] [--probe-ms <m>]");
-        println!("            [--spread <s>] [--affinity on|off]");
         println!("       xknn replay <bundle.json>");
         std::process::exit(if argv.len() <= 1 { 0 } else { 2 });
     };
+    reject_unknown_flags(&command, &argv[2..]);
 
     if command == "serve" {
         return serve();
@@ -494,16 +538,6 @@ fn router() {
     if let Some(m) = arg("--probe-ms") {
         let ms: u64 = m.parse().unwrap_or_else(|_| fail("--probe-ms must be an integer"));
         config.probe_interval = std::time::Duration::from_millis(ms);
-    }
-    if let Some(s) = arg("--spread") {
-        config.spread = s.parse().unwrap_or_else(|_| fail("--spread must be an integer"));
-    }
-    if let Some(a) = arg("--affinity") {
-        config.affinity = match a.as_str() {
-            "on" => true,
-            "off" => false,
-            _ => fail("--affinity must be `on` or `off`"),
-        };
     }
     let router = knn_cluster::Router::bind(&addr, config)
         .unwrap_or_else(|e| fail(&format!("cannot bind {addr}: {e}")));

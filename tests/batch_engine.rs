@@ -119,51 +119,6 @@ fn engine_matches_cli_on_l1() {
     }
 }
 
-/// The lazy-region swap oracle: for every ℓ2 abductive / counterfactual
-/// query kind, on both demo datasets, across k ∈ {1, 3, 5}, the engine's
-/// answers must be **byte-identical** whether the Prop 1 regions come from
-/// the lazy, pruned enumerator (serving path) or the eagerly materialized
-/// `RegionCache` (oracle path, `eager_l2_regions`). k = 5 is the case the
-/// eager path could not serve at scale; here both run, pinning the bytes.
-#[test]
-fn lazy_and_eager_region_engines_are_byte_identical() {
-    for text in [BOOL, CONT] {
-        let data = cli::parse_dataset(text).unwrap();
-        let mut lines = String::new();
-        let dim = data.continuous.dim();
-        let points: Vec<Vec<f64>> = vec![
-            vec![0.25; dim],
-            vec![1.0; dim],
-            (0..dim).map(|i| if i % 2 == 0 { -0.5 } else { 2.0 }).collect(),
-        ];
-        let mut id = 0;
-        for point in &points {
-            let pt = point.iter().map(|v| format!("{v}")).collect::<Vec<_>>().join(",");
-            for k in [1, 3, 5] {
-                for cmd in ["check-sr", "minimal-sr", "minimum-sr", "counterfactual"] {
-                    let features = if cmd == "check-sr" { ",\"features\":[0]" } else { "" };
-                    lines.push_str(&format!(
-                        "{{\"id\":\"q{id}\",\"cmd\":\"{cmd}\",\"metric\":\"l2\",\"k\":{k},\"point\":[{pt}]{features}}}\n",
-                    ));
-                    id += 1;
-                }
-            }
-        }
-        let engine_of = |eager: bool| {
-            ExplanationEngine::new(
-                EngineData::new(data.continuous.clone(), data.boolean.clone()),
-                EngineConfig { eager_l2_regions: eager, ..EngineConfig::default() },
-            )
-        };
-        let (lazy_out, _) = engine_of(false).run_jsonl(&lines);
-        let (eager_out, _) = engine_of(true).run_jsonl(&lines);
-        assert_eq!(lazy_out, eager_out, "lazy and eager region paths must not differ by a byte");
-        for line in lazy_out.lines() {
-            assert!(line.contains("\"ok\":true"), "all ℓ2 queries must be served: {line}");
-        }
-    }
-}
-
 /// k = 5 at a size the eager path never served (2 × C(14,3)·C(14,2) ≈ 66k
 /// polyhedra materialized before the first answer — the bench quantifies the
 /// blowup): the lazy engine must answer counterfactual and check-sr queries

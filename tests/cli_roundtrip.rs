@@ -136,6 +136,30 @@ fn bad_inputs_fail_cleanly() {
     assert!(!xknn(&["explain-everything", "--data", d, "--point", "1,1"]).2);
 }
 
+/// Every subcommand rejects flags it does not accept — a typo or a retired
+/// flag fails loudly (exit 2) instead of silently running with defaults.
+#[test]
+fn unknown_flags_are_rejected() {
+    let data = write_temp("cont5.txt", CONT);
+    let d = data.to_str().unwrap();
+    for (args, flag) in [
+        (vec!["classify", "--data", d, "--point", "1,1", "--bogus"], "--bogus"),
+        (vec!["classify", "--data", d, "--point", "1,1", "--kk", "3"], "--kk"),
+        (vec!["batch", "--data", d, "--point", "1,1"], "--point"),
+        (vec!["router", "--spawn", "1", "--bogus", "x"], "--bogus"),
+        (vec!["client", "--addr", "127.0.0.1:1", "--top", "--bogus"], "--bogus"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_xknn")).args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("xknn: unknown flag {flag}")), "{args:?}: {stderr}");
+    }
+    // A negative coordinate is a value, not a flag.
+    let (stdout, stderr, ok) = xknn(&["classify", "--data", d, "--point", "-1,-1"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("label: -"), "{stdout}");
+}
+
 #[test]
 fn repo_demo_files_work() {
     // The checked-in demo datasets under data/ must stay valid.

@@ -65,11 +65,7 @@ fn killing_one_of_two_replicas_mid_stream_keeps_bytes_identical_to_the_oracle() 
 
     let router = Router::bind(
         "127.0.0.1:0",
-        RouterConfig {
-            replication: 0,
-            probe_interval: Duration::from_millis(100),
-            ..RouterConfig::default()
-        },
+        RouterConfig { replication: 0, probe_interval: Duration::from_millis(100) },
     )
     .unwrap();
     router.attach(victim_addr);
@@ -143,13 +139,13 @@ fn killing_one_of_two_replicas_mid_stream_keeps_bytes_identical_to_the_oracle() 
     let _ = survivor.wait();
 }
 
-/// The same kill-mid-stream property with cache-affinity routing and
-/// cross-replica fill enabled (the default config): a cold pass populates
-/// caches (and fans fills out to the peer), then the identical warm batch is
-/// pipelined and the victim killed before any response is read — so warm
-/// queries failing over land on a replica whose cache was filled by its dead
-/// peer. Bytes must match the single-server oracle on both passes: affinity,
-/// failover, and fill are all invisible in the response stream.
+/// The same kill-mid-stream property across cache-affinity routing and
+/// cross-replica fill: a cold pass populates caches (and fans fills out to
+/// the peer), then the identical warm batch is pipelined and the victim
+/// killed before any response is read — so warm queries failing over land
+/// on a replica whose cache was filled by its dead peer. Bytes must match
+/// the single-server oracle on both passes: affinity, failover, and fill
+/// are all invisible in the response stream.
 #[test]
 fn affinity_and_fill_survive_a_mid_stream_kill_byte_identically() {
     let (mut victim, victim_addr) = spawn_backend();
@@ -157,14 +153,9 @@ fn affinity_and_fill_survive_a_mid_stream_kill_byte_identically() {
 
     let router = Router::bind(
         "127.0.0.1:0",
-        RouterConfig {
-            replication: 0,
-            probe_interval: Duration::from_millis(100),
-            ..RouterConfig::default()
-        },
+        RouterConfig { replication: 0, probe_interval: Duration::from_millis(100) },
     )
     .unwrap();
-    assert!(RouterConfig::default().affinity, "affinity routing should be the default");
     router.attach(victim_addr);
     router.attach(survivor_addr);
     router.load("hot", LoadSource::Text(BOOL), None).unwrap();
@@ -256,21 +247,20 @@ fn dead_channel_with_pending_query_forces_failover_spans() {
     });
 
     let (mut real, real_addr) = spawn_backend();
-    // Window routing (not affinity) so the two-query batch deterministically
-    // round-robins one query onto the impostor — the scenario under test.
-    let router =
-        Router::bind("127.0.0.1:0", RouterConfig { affinity: false, ..RouterConfig::default() })
-            .unwrap();
-    router.attach(fake_addr);
-    router.attach(real_addr);
+    let router = Router::bind("127.0.0.1:0", RouterConfig::default()).unwrap();
+    router.attach(fake_addr); // replica 0
+    router.attach(real_addr); // replica 1
     router.load("hot", LoadSource::Text(BOOL), None).unwrap();
     let handle = router.spawn();
 
-    // Two queries, round-robined over the two replicas: exactly one lands
-    // on the impostor and gets drained at its EOF.
+    // Fixed queries whose affinity keys rank the replicas differently (the
+    // rendezvous order is a pure function of the request): at least one
+    // homes on the impostor and gets drained at its EOF.
     let lines = [
         r#"{"dataset":"hot","id":"a","cmd":"classify","metric":"hamming","k":3,"point":[1,1,1,0,0]}"#,
         r#"{"dataset":"hot","id":"b","cmd":"minimal-sr","metric":"hamming","k":1,"point":[0,0,1,1,1]}"#,
+        r#"{"dataset":"hot","id":"c","cmd":"counterfactual","metric":"hamming","k":1,"point":[1,0,1,0,1]}"#,
+        r#"{"dataset":"hot","id":"d","cmd":"classify","metric":"hamming","k":1,"point":[0,1,0,1,0]}"#,
     ];
     let engine =
         ExplanationEngine::new(textfmt::parse_dataset(BOOL).unwrap(), EngineConfig::default());

@@ -145,3 +145,24 @@ fn router_exported_bundle_replays_byte_identically_offline() {
         let _ = child.wait();
     }
 }
+
+/// A bundle captured while the ℓ2 region routes still had an eager/lazy
+/// selector (it carries the selector's config member): ℓ2 check, minimal and
+/// counterfactual queries at k ∈ {1, 3} across one insert. It must still
+/// parse and replay byte-identically, exit 0.
+#[test]
+fn legacy_bundle_with_region_selector_replays() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data/legacy_l2_regions_bundle.json");
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains(r#""eager_l2_regions":false"#), "fixture lost its legacy member");
+    let bundle = ReproBundle::from_json(&text).unwrap();
+    let routes: BTreeSet<&str> = ["l2-lp-regions", "l2-greedy-deletion", "l2-qp-regions"]
+        .into_iter()
+        .filter(|r| bundle.entries.iter().any(|e| e.response.contains(&format!("\"{r}\""))))
+        .collect();
+    assert_eq!(routes.len(), 3, "fixture covers every ℓ2 region route: {routes:?}");
+    let (code, stdout) = run_replay(&path);
+    assert_eq!(code, Some(0), "legacy bundle must replay cleanly: {stdout}");
+    assert!(stdout.contains("replay ok"), "{stdout}");
+}
